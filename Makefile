@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check differential lpdebug examples obs-allocs scale-smoke admit-smoke class-smoke profile bench bench-full bench-json bench-compare clean
+.PHONY: all build test vet race check differential lpdebug examples obs-allocs scale-smoke admit-smoke class-smoke profile bench bench-full bench-json bench-compare loc clean
 
 all: check
 
@@ -120,6 +120,16 @@ bench-json:
 bench-compare:
 	$(GO) run ./cmd/meshbench -workers 1 -json /tmp/bench-compare.json > /dev/null
 	$(GO) run ./cmd/benchcompare $(lastword $(sort $(wildcard BENCH_*.json))) /tmp/bench-compare.json
+
+# Non-test Go source lines of each internal/* and cmd/* package (physical
+# lines, as wc -l counts them), then the total — the size ledger the
+# simplicity work is measured by.
+loc:
+	@for d in internal/* internal/*/* cmd/*; do \
+		files=$$(ls $$d/*.go 2>/dev/null | grep -v '_test\.go$$'); \
+		[ -n "$$files" ] && printf '%6d  %s\n' $$(cat $$files | wc -l) $$d; \
+	done; \
+	printf '%6d  total\n' $$(ls internal/*/*.go internal/*/*/*.go cmd/*/*.go | grep -v '_test\.go$$' | xargs cat | wc -l)
 
 clean:
 	$(GO) clean ./...

@@ -93,7 +93,7 @@ func run(args []string, out io.Writer) error {
 		memProf    = fs.String("memprofile", "", "write an allocation profile taken after the run to this file")
 		metricsOut = fs.String("metrics-out", "", "write per-experiment obs counter snapshots (JSON) to this file; forces -workers 1")
 		tracePath  = fs.String("trace", "", "write a per-slot/per-frame event trace (JSON lines) to this file; forces -workers 1")
-		screen     = fs.String("screen", "auto", "capacity-search screening tier: auto|analytic|pilot|none; affects wall clock only (the C/C+1 edge is always confirmed by full-length simulation)")
+		screen     = fs.String("screen", "auto", "capacity-search screening tier: auto|analytic|none; affects wall clock only (the C/C+1 edge is always confirmed by full-length simulation)")
 		queueCap   = fs.Int("queue-cap", 0, "finite per-link queue depth in packets for capacity-search experiments; 0 keeps each MAC's default (changes physics: shallower queues drop sooner)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -347,11 +347,9 @@ func parseScreen(s string) (core.ScreenMode, error) {
 		return core.ScreenAuto, nil
 	case "analytic":
 		return core.ScreenAnalytic, nil
-	case "pilot":
-		return core.ScreenPilot, nil
 	case "none":
 		return core.ScreenNone, nil
 	default:
-		return 0, fmt.Errorf("unknown -screen %q (want auto, analytic, pilot or none)", s)
+		return 0, fmt.Errorf("unknown -screen %q (want auto, analytic or none)", s)
 	}
 }

@@ -1,37 +1,43 @@
 // Package admit is the long-lived admission-control engine: it holds the
 // live TDMA schedule of a serving mesh and answers a stream of Admit/Release
-// calls by incremental repair instead of from-scratch re-planning. Three
-// tiers, cheapest first:
+// calls by incremental repair instead of from-scratch re-planning.
 //
-//   - Fast: pure first-fit placement of the new flow's slots into the free
-//     space of the current schedule window, checked against a per-link
-//     interval index — O(conflict degree), no solver. Fill-in only: the
-//     window never grows on this tier, so every fastpath admit keeps the
-//     incumbent window exact.
-//   - Warm: re-solve of a persistent, mutation-driven ILP model
-//     (schedule.Incremental) hinted at the incumbent window — typically one
-//     integer program of a few dual pivots. The tier also keeps an exact
-//     memo of solved aggregate demand vectors: serving churn revisits the
-//     same states constantly (a call arrives, holds, departs, and the mesh
-//     is back where it was), and a revisit replays the remembered exact
-//     schedule and verdict without touching the solver at all.
-//   - Cold: the model's support set does not cover the new demand; rebuild
-//     it over the widened support and solve. Support only ever grows, so
-//     cold admits become rarer as the engine warms up.
+// The engine has one decision core over a spatial decomposition of the link
+// set into zones (internal/partition). Each zone keeps a persistent,
+// mutation-driven ILP model (schedule.Incremental) over the grow-only set of
+// its links that ever carried demand, plus a proven lower bound on its
+// minimum window. An unzoned engine is the single-zone case: one zone holds
+// every link, and first-fitting the zone's solved schedule in ascending
+// start order never places a block later than the solver did, so the
+// engine keeps the solver's exact window and its accept/reject verdicts
+// match a cold schedule.MinSlots re-plan — the differential tests pin this.
+// A zoned engine (city scale) re-solves only the zones an admission touches
+// and stitches their blocks against the rest of the schedule; its verdicts
+// are conservative, as for the partitioned planner.
 //
-// Rejections are always solver verdicts (the fast tier only admits), so the
-// engine's accept/reject answers match a cold schedule.MinSlots re-plan —
-// the differential tests pin this. In zoned mode (city scale) the engine
-// instead keeps one persistent model per spatial zone (internal/partition)
-// and re-solves only the zones an admission touches; zoned verdicts are
-// conservative, as for the partitioned planner.
+// A decision tries three tiers, cheapest first:
+//
+//   - Fast: first-fit placement of the new flow's slots into the free space
+//     of the current schedule window, checked against a per-link interval
+//     index — O(conflict degree), no solver. Fill-in only: the window never
+//     grows on this tier.
+//   - Warm: re-solve of each touched zone's model, hinted at the zone's
+//     current makespan and bounded below by its last exact window, so the
+//     common case is one integer program of a few dual pivots.
+//   - Cold: a touched zone's model does not cover the new demand; rebuild it
+//     over the widened support and solve. Support only ever grows, so cold
+//     admits become rarer as the engine warms up.
+//
+// Rejections are always structural, solver or stitch verdicts (the fast
+// tier only admits). Serial and sharded engines run the same core under two
+// lock policies (see Config.Sharded).
 package admit
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -119,6 +125,9 @@ type Decision struct {
 	// decisions; the evicted flows are no longer served and must not be
 	// released again.
 	Preempted []FlowID
+	// budget marks a rejection issued because a solve exhausted its budget
+	// (Config.BudgetRejects); it is booked only if it is the final verdict.
+	budget bool
 }
 
 // Stats is a snapshot of the engine's lifetime tallies.
@@ -135,15 +144,16 @@ type Stats struct {
 	// schedule; DefragSlots is the total window shrinkage they bought.
 	Defrags     uint64
 	DefragSlots uint64
-	// MemoHits counts warm admissions answered from the exact-solve memo.
-	MemoHits uint64
 	// Satisficed counts admissions decided by the satisficing fallback: the
 	// exact min-window search blew its budget and a single probe at the
 	// window cap found a feasible (not necessarily minimal) schedule.
 	Satisficed uint64
-	// BudgetRejected counts rejections issued because a solve exhausted its
-	// branch-and-bound budget — with Config.BudgetRejects, after the
-	// satisficing fallback also failed to decide in time.
+	// BudgetRejected counts decisions whose final verdict is a rejection
+	// because a solve exhausted its branch-and-bound budget — with
+	// Config.BudgetRejects, after the satisficing fallback also failed to
+	// decide in time. A joint batch attempt that falls back to individual
+	// decisions, and a guaranteed arrival that preemption then admits, are
+	// not budget rejections.
 	BudgetRejected uint64
 	// PreemptAttempts counts guaranteed-class rejections that entered the
 	// preemption search; PreemptAdmits the ones it converted to admissions;
@@ -195,64 +205,55 @@ type Config struct {
 	// its budget is the call rejected conservatively. Differential tests
 	// leave this off so a blown budget fails loudly.
 	BudgetRejects bool
-	// Zoned switches to per-zone incremental models over a spatial
-	// decomposition of ZoneSize meters (0 = automatic): city-scale mode.
+	// Zoned cuts the link set into square zones of ZoneSize meters (0 =
+	// automatic), each with its own incremental model: city-scale mode,
+	// where a decision re-solves only the zones its demand touches and
+	// verdicts are conservative. Off, the engine is the single-zone case —
+	// one model over every link, exact verdicts.
 	Zoned    bool
 	ZoneSize float64
-	// Sharded switches the zoned engine from one global lock to per-zone
-	// locking: an admission locks only the zones its demand delta touches
-	// (in ascending zone-ID order, so concurrent admissions cannot
-	// deadlock) plus a short critical section on the shared stitch and
-	// occupancy state, letting admissions in disjoint zones solve truly in
-	// parallel. Requires Zoned. Verdicts stay the zoned engine's
-	// conservative ones, but their arrival order under concurrency is
-	// scheduler-dependent; serial replay needs Sharded off.
+	// Sharded selects the per-zone lock policy: a decision holds the locks
+	// of the zones its flows touch (in ascending zone-ID order, so
+	// concurrent decisions cannot deadlock) and takes the engine lock only
+	// to screen and snapshot its inputs and to stitch and commit, so zone
+	// solves in disjoint zones run truly in parallel. Off, a decision holds
+	// the engine lock throughout. Requires Zoned. Verdicts stay the zoned
+	// engine's conservative ones, but their arrival order under concurrency
+	// is scheduler-dependent; serial replay needs Sharded off.
 	Sharded bool
-	// MaxZonePairs gates zone ILP size as in internal/partition; larger
-	// zones fall back to greedy packing (0 = partition default).
+	// MaxZonePairs gates zone ILP size on a zoned engine as in
+	// internal/partition; larger zones fall back to greedy packing (0 =
+	// partition default). An unzoned engine never packs greedily.
 	MaxZonePairs int
 	// CompactEvery re-packs the schedule after that many releases to
 	// reclaim fragmented slots (0 = 64, negative = never).
 	CompactEvery int
-	// MemoSize bounds the exact-solve memo of the monolithic warm tier
-	// (0 = 256, negative = disabled). Entries are keyed by the full
-	// aggregate demand vector, so a hit is always exact.
-	MemoSize int
 	// Registry receives admit.* counters and the decision-latency
 	// histogram; nil disables metrics.
 	Registry *obs.Registry
 }
 
-const (
-	defaultCompactEvery = 64
-	defaultMemoSize     = 256
-)
-
-// memoEntry is one remembered exact verdict: the minimum window and a
-// witness schedule for a specific aggregate demand vector, or its proven
-// infeasibility.
-type memoEntry struct {
-	feasible bool
-	win      int
-	assigns  []tdma.Assignment
-}
+const defaultCompactEvery = 64
 
 // Engine is the long-lived admission engine. All methods are safe for
-// concurrent use. In the default configuration admissions serialize on one
-// internal lock (the schedule and the persistent solver model are single
-// live objects); with Config.Sharded the zoned engine instead locks only the
-// zones a decision touches, so the solver work of admissions in disjoint
-// zones runs in parallel and just the stitch — commit of the shared
-// schedule, occupancy index and tallies — serializes on e.mu.
+// concurrent use. Decisions serialize on one engine lock by default; with
+// Config.Sharded a decision instead holds the locks of the zones it touches
+// and takes the engine lock only around the shared schedule, so the solver
+// work of decisions in disjoint zones runs in parallel (see lock).
 type Engine struct {
-	cfg     Config
-	maxWin  int
-	sharded bool
+	cfg    Config
+	maxWin int
+	// maxPairs is the zone ILP size gate, resolved at New: math.MaxInt on
+	// an unzoned engine, which never packs greedily.
+	maxPairs int
+	sharded  bool
+	// dec is the static decomposition over the full link universe (one
+	// zone when unzoned): every link has a zone for the engine's lifetime,
+	// whatever the demand pattern does.
+	dec *partition.Decomposition
 
 	// mu is the stitch lock: it guards the live schedule, the occupancy
-	// index, the aggregate demand, the flow table, the tallies and the memo.
-	// In sharded mode the solver phase of a decision runs outside it, under
-	// the per-zone locks below.
+	// index, the aggregate demand, the flow table and the tallies.
 	mu     sync.Mutex
 	sched  *tdma.Schedule
 	occ    [][][2]int // per-link [start,end) intervals, sorted by start
@@ -267,41 +268,20 @@ type Engine struct {
 	// compaction, defrag swap). Background defragmentation snapshots it and
 	// discards its candidate when the schedule moved underneath the solve.
 	gen uint64
-	// pending reserves flow IDs whose sharded admission is mid-solve, so a
-	// concurrent duplicate of the same ID fails instead of racing.
-	pending map[FlowID]bool
-	// Monolithic mode: one persistent model over a grow-only support set.
-	inc     *schedule.Incremental
-	support []topology.LinkID
-	// solverDirty is set by Release: the incumbent window is no longer a
-	// proven minimum, so warm solves may not use it as a lower bound.
-	solverDirty bool
-	releases    int
-	// Zoned mode: static decomposition over the full link set, one lazily
-	// built model per zone over that zone's grow-only demand support (a
-	// dense city zone can hold tens of thousands of conflicting link pairs,
-	// so a model over all zone links would be intractable; the links that
-	// ever carry demand are few). zoneInc[zi], zoneSupport[zi] and the
-	// demand entries of zone zi's links are guarded by zoneMu[zi] in
-	// sharded mode (writes additionally hold e.mu for the demand map).
-	dec         *partition.Decomposition
-	zoneInc     []*schedule.Incremental
-	zoneSupport [][]topology.LinkID
-	zoneMu      []sync.Mutex
-	// Exact-solve memo (monolithic mode): demand fingerprint -> verdict,
-	// FIFO-evicted at memoCap entries.
-	memo      map[string]memoEntry
-	memoOrder []string
-	memoCap   int
+	// pending reserves flow IDs whose decision is mid-solve outside e.mu,
+	// so a concurrent duplicate of the same ID fails instead of racing.
+	pending  map[FlowID]bool
+	releases int
+	// zones are the decision path's per-zone models. zones[zi] is guarded
+	// by zoneMu[zi] on a sharded engine, by e.mu otherwise.
+	zones  []zoneModel
+	zoneMu []sync.Mutex
 
 	// Defragmentation state: dfMu serializes background re-packs (one at a
-	// time); the private models below exist so a defrag solve never touches
-	// the decision-path models.
-	dfMu       sync.Mutex
-	dfInc      *schedule.Incremental
-	dfSupport  []topology.LinkID
-	dfZoneInc  map[int]*schedule.Incremental
-	dfZoneSup  map[int][]topology.LinkID
+	// time); dfZones are private models, so a defrag solve never touches
+	// the decision path's.
+	dfMu    sync.Mutex
+	dfZones []zoneModel
 
 	stats   Stats
 	scratch [][2]int
@@ -309,7 +289,7 @@ type Engine struct {
 	cFast, cWarm, cCold, cReject *obs.Counter
 	cRelease, cCompact           *obs.Counter
 	cZoneGreedy, cWarmPivots     *obs.Counter
-	cMemo, cSatisfice, cBudget   *obs.Counter
+	cSatisfice, cBudget          *obs.Counter
 	cDefrag, cDefragSlots        *obs.Counter
 	cPreemptAttempt              *obs.Counter
 	cPreemptAdmit, cPreemptEvict *obs.Counter
@@ -348,44 +328,44 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Preempt && cfg.Sharded {
 		return nil, fmt.Errorf("%w: Preempt requires the serial engine (preemption retries roll back the whole schedule)", ErrBadFlow)
 	}
-	e := &Engine{
-		cfg:     cfg,
-		maxWin:  maxWin,
-		sharded: cfg.Sharded,
-		sched:   s,
-		occ:     make([][][2]int, cfg.Graph.NumVertices()),
-		demand:  make(map[topology.LinkID]int),
-		flows:   make(map[FlowID]Flow),
-		cls:     make(map[topology.LinkID][2]int),
-		pending: make(map[FlowID]bool),
-	}
-	e.memoCap = cfg.MemoSize
-	if e.memoCap == 0 {
-		e.memoCap = defaultMemoSize
-	}
-	if e.memoCap > 0 {
-		e.memo = make(map[string]memoEntry, e.memoCap)
-	}
+	// Decompose a synthetic all-active problem; an unzoned engine uses an
+	// infinite zone size, which puts every link in one zone.
+	zoneSize, maxPairs := math.Inf(1), math.MaxInt
 	if cfg.Zoned {
-		// Static zoning over the full link universe: decompose a synthetic
-		// all-active problem so every link has a zone for the engine's
-		// lifetime, whatever the demand pattern does.
-		synth := &schedule.Problem{
-			Graph:      cfg.Graph,
-			Demand:     make(map[topology.LinkID]int, cfg.Graph.NumVertices()),
-			FrameSlots: cfg.Frame.DataSlots,
+		zoneSize, maxPairs = cfg.ZoneSize, cfg.MaxZonePairs
+		if maxPairs <= 0 {
+			maxPairs = partition.DefaultMaxZonePairs
 		}
-		for l := 0; l < cfg.Graph.NumVertices(); l++ {
-			synth.Demand[topology.LinkID(l)] = 1
-		}
-		dec, err := partition.Decompose(synth, cfg.ZoneSize)
-		if err != nil {
-			return nil, err
-		}
-		e.dec = dec
-		e.zoneInc = make([]*schedule.Incremental, len(dec.Zones))
-		e.zoneSupport = make([][]topology.LinkID, len(dec.Zones))
-		e.zoneMu = make([]sync.Mutex, len(dec.Zones))
+	}
+	synth := &schedule.Problem{
+		Graph:      cfg.Graph,
+		Demand:     make(map[topology.LinkID]int, cfg.Graph.NumVertices()),
+		FrameSlots: cfg.Frame.DataSlots,
+	}
+	for l := 0; l < cfg.Graph.NumVertices(); l++ {
+		synth.Demand[topology.LinkID(l)] = 1
+	}
+	dec, err := partition.Decompose(synth, zoneSize)
+	if err != nil {
+		return nil, err
+	}
+	e := &Engine{
+		cfg:      cfg,
+		maxWin:   maxWin,
+		maxPairs: maxPairs,
+		sharded:  cfg.Sharded,
+		dec:      dec,
+		sched:    s,
+		occ:      make([][][2]int, cfg.Graph.NumVertices()),
+		demand:   make(map[topology.LinkID]int),
+		flows:    make(map[FlowID]Flow),
+		cls:      make(map[topology.LinkID][2]int),
+		pending:  make(map[FlowID]bool),
+		zones:    make([]zoneModel, len(dec.Zones)),
+		zoneMu:   make([]sync.Mutex, len(dec.Zones)),
+	}
+	for zi := range e.zones {
+		e.zones[zi].links = dec.Zones[zi].Links
 	}
 	if r := cfg.Registry; r != nil {
 		e.cFast = r.Counter("admit.fastpath_hit")
@@ -396,7 +376,6 @@ func New(cfg Config) (*Engine, error) {
 		e.cCompact = r.Counter("admit.compact")
 		e.cZoneGreedy = r.Counter("admit.zone_greedy")
 		e.cWarmPivots = r.Counter("admit.warm_pivots")
-		e.cMemo = r.Counter("admit.memo_hit")
 		e.cSatisfice = r.Counter("admit.satisfice")
 		e.cBudget = r.Counter("admit.budget_reject")
 		e.cDefrag = r.Counter("admit.defrag")
@@ -418,10 +397,9 @@ func New(cfg Config) (*Engine, error) {
 // Locking note (audited for the sharded engine): e.mu alone is sufficient
 // for this and the other read accessors even under Config.Sharded. Every
 // mutation of reader-visible state — e.sched, e.occ, e.demand, e.flows,
-// e.win, e.cls, e.stats — happens with e.mu held: the sharded decision
-// path mutates only zone solver state (zoneInc, zoneSupport, guarded by
-// the zone locks) during its unlocked solve phase B, and commits through
-// phases A and C under e.mu. TestShardedSnapshotRace hammers these
+// e.win, e.cls, e.stats — happens with e.mu held: a sharded decision
+// mutates only its zones' models (guarded by the zone locks) during its
+// solve phase B, and commits through phases A and C under e.mu. TestShardedSnapshotRace hammers these
 // accessors against ServeConcurrent under the race detector to keep it
 // that way.
 func (e *Engine) Window() int {
@@ -514,476 +492,140 @@ func (f Flow) validate(numLinks, frameSlots int) error {
 // resource exhaustion, and context cancellation (ctx.Err() once the
 // in-flight solve has been interrupted and rolled back).
 func (e *Engine) Admit(ctx context.Context, f Flow) (Decision, error) {
-	if e.sharded {
-		return e.admitSharded(ctx, f)
-	}
 	start := time.Now()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.admitSerialLocked(ctx, f, start)
-}
-
-// admitSerialLocked is the single-lock decision body: validation, one
-// admission attempt through the tiers, and — for rejected guaranteed-class
-// arrivals with Config.Preempt — the preemption retry loop. Called with
-// e.mu held.
-func (e *Engine) admitSerialLocked(ctx context.Context, f Flow, start time.Time) (Decision, error) {
 	if err := f.validate(len(e.occ), e.cfg.Frame.DataSlots); err != nil {
 		return Decision{}, err
 	}
-	if _, dup := e.flows[f.ID]; dup {
-		return Decision{}, fmt.Errorf("%w: flow %s already admitted", ErrBadFlow, f.ID)
-	}
-	dec, err := e.attemptLocked(ctx, f)
+	defer e.unlock(e.lock(f.Path))
+	return e.admitLocked(ctx, f, start)
+}
+
+// admitLocked decides one validated flow under its decision locks: the
+// decision itself, the preemption retry loop for a rejected guaranteed-class
+// arrival (Config.Preempt, serial engines only), then the shared tallies.
+func (e *Engine) admitLocked(ctx context.Context, f Flow, start time.Time) (Decision, error) {
+	dec, _, err := e.decide(ctx, []Flow{f})
 	if err != nil {
 		return Decision{}, err
 	}
 	if !dec.Admitted && e.cfg.Preempt && f.Class.Guaranteed() {
 		// Only guaranteed-class arrivals ever enter the preemption search,
 		// so a BE or nrtPS arrival can never evict anything.
-		dec, err = e.tryPreempt(ctx, f, dec)
-		if err != nil {
+		if dec, err = e.tryPreempt(ctx, f, dec); err != nil {
 			return Decision{}, err
 		}
 	}
-	return e.finish(start, dec), nil
+	return e.finish(start, 1, dec), nil
 }
 
-// attemptLocked runs one admission attempt for f — structural screen, the
-// first-fit fastpath, then the solver tiers — committing engine state and
-// booking the per-tier tallies on success. The shared admit/reject tallies
-// and the latency stamp are the caller's (finish), so the preemption loop
-// can re-run the attempt after evictions. Called with e.mu held; f must be
-// validated and not a duplicate.
-func (e *Engine) attemptLocked(ctx context.Context, f Flow) (Decision, error) {
-	delta := f.demand()
-	for l, d := range delta {
-		if e.demand[l]+d > e.maxWin {
-			// No window within the cap can carry this link's demand:
-			// structurally impossible, no solver needed.
-			return Decision{Tier: TierNone}, nil
-		}
+// AdmitBatch decides the flows as one joint admission where possible: the
+// union of their demand deltas is checked, fastpathed or solved once, and
+// every member inherits the joint verdict. Demands are monotone, so a joint
+// admit proves each member individually admissible; any joint failure —
+// duplicate ID, structural cap, infeasibility, budget miss, stitch conflict —
+// falls back to deciding the flows individually in slice order, so batching
+// never changes a verdict relative to sequential Admit calls. On an error the
+// decisions made so far are returned with it; the remaining flows are
+// undecided. The batch holds the decision locks of all its flows throughout.
+func (e *Engine) AdmitBatch(ctx context.Context, flows []Flow) ([]Decision, error) {
+	start := time.Now()
+	if len(flows) == 0 {
+		return nil, nil
 	}
-	newCls := e.clsAfter(f)
-	if newCls != nil {
-		for l := range delta {
-			if v := newCls[l]; e.clsOver(v[0], v[1]) {
-				// The link's guaranteed-class slots cannot all complete by
-				// their deadlines in any window: structurally impossible.
-				return Decision{Tier: TierNone}, nil
+	ids := make(map[FlowID]bool, len(flows))
+	var union []topology.LinkID
+	for _, f := range flows {
+		if err := f.validate(len(e.occ), e.cfg.Frame.DataSlots); err != nil {
+			return nil, err
+		}
+		if ids[f.ID] {
+			return nil, fmt.Errorf("%w: duplicate flow %s in batch", ErrBadFlow, f.ID)
+		}
+		ids[f.ID] = true
+		union = append(union, f.Path...)
+	}
+	e.hBatch.Observe(float64(len(flows)))
+	defer e.unlock(e.lock(union))
+	out := make([]Decision, 0, len(flows))
+	if len(flows) > 1 {
+		dec, ok, err := e.decide(ctx, flows)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			d := e.finish(start, len(flows), dec)
+			out = append(out, d)
+			// Solver effort is attributed once, to the first member.
+			d.Solved, d.Pivots = 0, 0
+			for range flows[1:] {
+				out = append(out, d)
 			}
+			return out, nil
 		}
 	}
-
-	if pending := e.tryFastpath(delta, newCls); pending != nil {
-		for _, a := range pending {
-			if err := e.sched.Add(a); err != nil {
-				return Decision{}, err
-			}
-			e.occAdd(a.Link, a.Start, a.End())
+	for _, f := range flows {
+		d, err := e.admitLocked(ctx, f, time.Now())
+		if err != nil {
+			return out, err
 		}
-		for l, d := range delta {
-			e.demand[l] += d
-		}
-		if newCls != nil {
-			e.cls = newCls
-		}
-		e.flows[f.ID] = f
-		e.gen++
-		e.stats.Fast++
-		e.cFast.Inc()
-		return Decision{Admitted: true, Tier: TierFast, Window: e.win}, nil
+		out = append(out, d)
 	}
-
-	newDemand := make(map[topology.LinkID]int, len(e.demand)+len(delta))
-	for l, d := range e.demand {
-		newDemand[l] = d
-	}
-	for l, d := range delta {
-		newDemand[l] += d
-	}
-	opts := e.cfg.MILP
-	if ctx != nil {
-		opts.Interrupt = ctx.Done()
-	}
-
-	var (
-		dec Decision
-		err error
-	)
-	if e.cfg.Zoned {
-		dec, err = e.admitZoned(ctx, delta, newDemand, newCls, opts)
-	} else {
-		dec, err = e.admitMono(ctx, newDemand, newCls, opts)
-	}
-	if err != nil {
-		return Decision{}, err
-	}
-	if dec.Admitted {
-		e.demand = newDemand
-		if newCls != nil {
-			e.cls = newCls
-		}
-		e.flows[f.ID] = f
-		e.gen++
-		switch dec.Tier {
-		case TierWarm:
-			e.stats.Warm++
-			e.stats.WarmPivots += uint64(dec.Pivots)
-			e.cWarm.Inc()
-			e.cWarmPivots.Add(uint64(dec.Pivots))
-		case TierCold:
-			e.stats.Cold++
-			e.cCold.Inc()
-		}
-	}
-	return dec, nil
+	return out, nil
 }
 
-// finish stamps the latency and the shared admit/reject tallies.
-func (e *Engine) finish(start time.Time, d Decision) Decision {
-	d.Latency = time.Since(start)
-	if d.Admitted {
-		e.stats.Admitted++
-	} else {
-		e.stats.Rejected++
-		e.cReject.Inc()
+// finish books the shared tallies of a decision covering k flows — the
+// admit/reject counts, the budget rejection when that is the final verdict,
+// and the latency histogram — and returns the per-member decision, whose
+// latency is the elapsed time amortized across the members (the solve ran
+// once for all of them).
+func (e *Engine) finish(start time.Time, k int, d Decision) Decision {
+	d.Latency = time.Since(start) / time.Duration(k)
+	e.stitchLock()
+	defer e.stitchUnlock()
+	for i := 0; i < k; i++ {
+		if d.Admitted {
+			e.stats.Admitted++
+		} else {
+			e.stats.Rejected++
+			e.cReject.Inc()
+		}
+		e.hDecision.Observe(float64(d.Latency.Microseconds()))
 	}
-	e.hDecision.Observe(float64(d.Latency.Microseconds()))
-	return d
-}
-
-// classifySolverErr folds a solver failure into the engine's error contract
-// without touching engine state: infeasibility is a rejection (nil error),
-// an interrupt surfaces the context's error, budget exhaustion rejects
-// conservatively when configured (budget=true so the caller can count it),
-// anything else passes through as out.
-func (e *Engine) classifySolverErr(ctx context.Context, err error) (reject, budget bool, out error) {
-	if errors.Is(err, schedule.ErrInfeasible) {
-		return true, false, nil
-	}
-	if ctx != nil && ctx.Err() != nil && errors.Is(err, milp.ErrLimit) {
-		return false, false, ctx.Err()
-	}
-	if e.cfg.BudgetRejects && errors.Is(err, milp.ErrLimit) {
-		return true, true, nil
-	}
-	return false, false, err
-}
-
-// solverErr applies classifySolverErr and books the budget-rejection
-// tallies. Called with e.mu held.
-func (e *Engine) solverErr(ctx context.Context, tier Tier, err error) (Decision, error) {
-	_, budget, out := e.classifySolverErr(ctx, err)
-	if out != nil {
-		return Decision{}, out
-	}
-	if budget {
+	if !d.Admitted && d.budget {
 		e.stats.BudgetRejected++
 		e.cBudget.Inc()
 	}
-	return Decision{Tier: tier, Window: e.win}, nil
-}
-
-// minSlotsServing wraps Incremental.MinSlots with the satisficing fallback
-// of Config.BudgetRejects: when the exact search blows its budget under a
-// live context, probe the window cap once — lo = hint = maxWin makes it a
-// single feasibility check — and return that schedule with satisficed=true
-// (the window is then the probe schedule's makespan, feasible but not proven
-// minimal). It touches no shared engine state beyond the model it is handed,
-// so the sharded engine can run it under a zone lock alone; the caller books
-// satisficed outcomes into the tallies under e.mu.
-func (e *Engine) minSlotsServing(ctx context.Context, inc *schedule.Incremental, p *schedule.Problem, hint, lo int, opts milp.Options) (win int, s *tdma.Schedule, solved, pivots int, satisficed bool, err error) {
-	win, s, solved, pivots, err = inc.MinSlots(p, hint, lo, e.maxWin, opts)
-	if err == nil || !e.cfg.BudgetRejects || !errors.Is(err, milp.ErrLimit) ||
-		(ctx != nil && ctx.Err() != nil) {
-		return win, s, solved, pivots, false, err
-	}
-	_, s2, solved2, piv2, err2 := inc.MinSlots(p, e.maxWin, e.maxWin, e.maxWin, opts)
-	solved += solved2
-	pivots += piv2
-	if err2 != nil {
-		// ErrInfeasible here is still exact — nothing fits within the cap —
-		// and a second ErrLimit becomes the conservative budget rejection.
-		return 0, nil, solved, pivots, false, err2
-	}
-	return makespanOf(s2), s2, solved, pivots, true, nil
-}
-
-// bookSatisficed records satisficing fallbacks taken during a decision's
-// solver phase. Called with e.mu held.
-func (e *Engine) bookSatisficed(n int) {
-	if n <= 0 {
-		return
-	}
-	e.stats.Satisficed += uint64(n)
-	e.cSatisfice.Add(uint64(n))
-}
-
-// admitMono is the monolithic solver tier: one persistent model over a
-// grow-only support set. newCls carries the prospective per-link class
-// totals (nil when the engine is class-oblivious); they reach the solver
-// as absolute start caps. Called with e.mu held.
-func (e *Engine) admitMono(ctx context.Context, newDemand map[topology.LinkID]int, newCls map[topology.LinkID][2]int, opts milp.Options) (Decision, error) {
-	fp := fingerprint(newDemand, newCls)
-	if ent, ok := e.memo[fp]; ok {
-		e.stats.MemoHits++
-		e.cMemo.Inc()
-		if !ent.feasible {
-			return Decision{Tier: TierWarm, Window: e.win}, nil
-		}
-		e.sched = &tdma.Schedule{Config: e.cfg.Frame, Assignments: slices.Clone(ent.assigns)}
-		e.sched.Invalidate()
-		e.rebuildOcc()
-		e.win = ent.win
-		e.solverDirty = false
-		return Decision{Admitted: true, Tier: TierWarm, Window: ent.win}, nil
-	}
-	tier := TierWarm
-	if e.inc == nil || !e.inc.Supports(newDemand) {
-		support := e.support
-		for l, d := range newDemand {
-			if d > 0 && !slices.Contains(support, l) {
-				support = append(support, l)
-			}
-		}
-		inc, err := schedule.NewIncremental(e.cfg.Graph, support, e.cfg.Frame)
-		if err != nil {
-			return Decision{}, err
-		}
-		slices.Sort(support)
-		e.inc, e.support = inc, support
-		tier = TierCold
-	}
-	lo := 0
-	if tier == TierWarm && !e.solverDirty {
-		// Demand has only grown since the last exact solve, so its window
-		// is a sound lower bound; with the hint equal to it, the common
-		// case is a single warm probe.
-		lo = e.win
-	}
-	p := &schedule.Problem{Graph: e.cfg.Graph, Demand: newDemand, FrameSlots: e.cfg.Frame.DataSlots,
-		StartCap: e.capsFor(newCls)}
-	win, s, solved, pivots, sat, err := e.minSlotsServing(ctx, e.inc, p, e.win, lo, opts)
-	if err != nil {
-		if errors.Is(err, schedule.ErrInfeasible) {
-			e.memoStore(fp, memoEntry{})
-		}
-		return e.solverErr(ctx, tier, err)
-	}
-	if sat {
-		e.bookSatisficed(1)
-	}
-	if !sat {
-		// Satisficed windows are feasible but not proven minimal, so they
-		// never enter the exact memo.
-		e.memoStore(fp, memoEntry{feasible: true, win: win, assigns: slices.Clone(s.Assignments)})
-	}
-	e.sched = s
-	e.rebuildOcc()
-	e.win = win
-	e.solverDirty = sat
-	return Decision{Admitted: true, Tier: tier, Window: win, Solved: solved, Pivots: pivots}, nil
-}
-
-// fingerprint serializes a demand vector into a memo key: links ascending.
-// A classed engine folds the per-link class totals in too — the same
-// aggregate demand under a different UGS/rtPS composition has different
-// start caps, so the verdicts are not interchangeable. With cls nil the
-// key bytes are exactly the pre-class ones.
-func fingerprint(demand map[topology.LinkID]int, cls map[topology.LinkID][2]int) string {
-	links := make([]topology.LinkID, 0, len(demand))
-	for l, d := range demand {
-		if d > 0 {
-			links = append(links, l)
-		}
-	}
-	slices.Sort(links)
-	var b []byte
-	for _, l := range links {
-		b = binary.AppendVarint(b, int64(l))
-		b = binary.AppendVarint(b, int64(demand[l]))
-	}
-	if cls != nil {
-		b = append(b, 0xff)
-		for _, l := range links {
-			v := cls[l]
-			b = binary.AppendVarint(b, int64(v[0]))
-			b = binary.AppendVarint(b, int64(v[1]))
-		}
-	}
-	return string(b)
-}
-
-// memoStore inserts an exact verdict, evicting FIFO at capacity. Called
-// with e.mu held.
-func (e *Engine) memoStore(fp string, ent memoEntry) {
-	if e.memoCap <= 0 {
-		return
-	}
-	if _, ok := e.memo[fp]; !ok {
-		if len(e.memoOrder) >= e.memoCap {
-			delete(e.memo, e.memoOrder[0])
-			e.memoOrder = e.memoOrder[1:]
-		}
-		e.memoOrder = append(e.memoOrder, fp)
-	}
-	e.memo[fp] = ent
-}
-
-// admitZoned re-solves only the zones the delta touches and first-fits their
-// new blocks back against the rest of the schedule. newCls carries the
-// prospective per-link class totals (nil when class-oblivious): the zone
-// solves see them as start caps, and the re-stitch respects them through
-// stitchLimit. Called with e.mu held.
-func (e *Engine) admitZoned(ctx context.Context, delta, newDemand map[topology.LinkID]int, newCls map[topology.LinkID][2]int, opts milp.Options) (Decision, error) {
-	snapshot := slices.Clone(e.sched.Assignments)
-	snapWin := e.win
-	restore := func() {
-		e.sched.Assignments = snapshot
-		e.sched.Invalidate()
-		e.win = snapWin
-		e.rebuildOcc()
-	}
-	maxPairs := e.cfg.MaxZonePairs
-	if maxPairs <= 0 {
-		maxPairs = partition.DefaultMaxZonePairs
-	}
-
-	var zones []int
-	for l := range delta {
-		if zi := e.dec.ZoneOf(l); zi >= 0 && !slices.Contains(zones, zi) {
-			zones = append(zones, zi)
-		}
-	}
-	slices.Sort(zones)
-
-	tier, solved, pivots := TierWarm, 0, 0
-	full := &schedule.Problem{Graph: e.cfg.Graph, Demand: newDemand, FrameSlots: e.cfg.Frame.DataSlots,
-		StartCap: e.capsFor(newCls)}
-	for _, zi := range zones {
-		zp := partition.ZoneProblem(full, e.dec, zi)
-		zp.StartCap = full.StartCap
-		zoneLinks := e.dec.Zones[zi].Links
-
-		var blocks []tdma.Assignment
-		if partition.ActivePairs(zp) > maxPairs {
-			gs, err := schedule.Greedy(zp, e.cfg.Frame)
-			if err != nil {
-				restore()
-				return e.solverErr(ctx, tier, err)
-			}
-			blocks = gs.Assignments
-			e.stats.ZoneGreedy++
-			e.cZoneGreedy.Inc()
-		} else {
-			zinc := e.zoneInc[zi]
-			if zinc == nil || !zinc.Supports(zp.Demand) {
-				support := e.zoneSupport[zi]
-				for l, d := range zp.Demand {
-					if d > 0 && !slices.Contains(support, l) {
-						support = append(support, l)
-					}
-				}
-				var err error
-				zinc, err = schedule.NewIncremental(e.cfg.Graph, support, e.cfg.Frame)
-				if err != nil {
-					restore()
-					return Decision{}, err
-				}
-				slices.Sort(support)
-				e.zoneInc[zi], e.zoneSupport[zi] = zinc, support
-				tier = TierCold
-			}
-			hint := 0
-			for _, l := range zoneLinks {
-				for _, iv := range e.occ[l] {
-					hint = max(hint, iv[1])
-				}
-			}
-			_, zs, zsolved, zpiv, zsat, err := e.minSlotsServing(ctx, zinc, zp, hint, 0, opts)
-			if err != nil {
-				restore()
-				return e.solverErr(ctx, tier, err)
-			}
-			if zsat {
-				e.bookSatisficed(1)
-			}
-			blocks = zs.Assignments
-			solved += zsolved
-			pivots += zpiv
-		}
-
-		// Swap the zone's allocation: drop its old blocks, then first-fit
-		// the new ones in ascending start order (the solver's layout is the
-		// placement hint; conflicts against other zones are re-checked
-		// against the live occupancy, so halo links stay safe).
-		e.dropLinks(zoneLinks)
-		slices.SortFunc(blocks, func(a, b tdma.Assignment) int {
-			if a.Start != b.Start {
-				return a.Start - b.Start
-			}
-			if a.Length != b.Length {
-				return b.Length - a.Length
-			}
-			return int(a.Link - b.Link)
-		})
-		placed := make(map[topology.LinkID]int, len(zoneLinks))
-		for _, b := range blocks {
-			lim := e.stitchLimit(b.Link, placed[b.Link], b.Length, newCls)
-			s := e.firstFit(b.Link, b.Length, lim, nil)
-			if s < 0 {
-				// Cross-zone packing failure (or a class deadline the
-				// stitch cannot keep): conservative rejection, like the
-				// partitioned planner's stitch failures.
-				restore()
-				return Decision{Tier: tier, Window: e.win}, nil
-			}
-			if err := e.sched.Add(tdma.Assignment{Link: b.Link, Start: s, Length: b.Length}); err != nil {
-				restore()
-				return Decision{}, err
-			}
-			e.occAdd(b.Link, s, s+b.Length)
-			placed[b.Link] += b.Length
-		}
-	}
-	e.win = makespanOf(e.sched)
-	return Decision{Admitted: true, Tier: tier, Window: e.win, Solved: solved, Pivots: pivots}, nil
+	return d
 }
 
 // Release returns a flow's slots. The schedule shrinks in place (highest
 // start blocks first); every CompactEvery releases the engine re-packs all
 // blocks first-fit to reclaim fragmentation — the re-pack provably never
-// grows the makespan.
+// grows the makespan. The flow is looked up before its decision locks are
+// taken (a sharded engine must lock zones before e.mu) and looked up again
+// under them, since a concurrent Release of the same ID may have won.
 func (e *Engine) Release(id FlowID) error {
-	if e.sharded {
-		return e.releaseSharded(id)
-	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	f, ok := e.flows[id]
+	e.mu.Unlock()
 	if !ok {
+		return fmt.Errorf("%w: %s", ErrUnknownFlow, id)
+	}
+	defer e.unlock(e.lock(f.Path))
+	e.stitchLock()
+	defer e.stitchUnlock()
+	if f, ok = e.flows[id]; !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownFlow, id)
 	}
 	return e.releaseLocked(f)
 }
 
 // releaseLocked returns f's slots and runs the periodic compaction. Called
-// with e.mu held (and, in sharded mode, the zone locks of f's path).
+// under f's decision locks with e.mu held.
 func (e *Engine) releaseLocked(f Flow) error {
-	for l, d := range f.demand() {
-		if err := e.sched.TrimLink(l, d); err != nil {
-			return err
-		}
-		if e.demand[l] -= d; e.demand[l] <= 0 {
-			delete(e.demand, l)
-		}
+	if err := e.dropFlow(f); err != nil {
+		return err
 	}
-	delete(e.flows, f.ID)
-	e.classAdd(f, -1)
-	e.rebuildOcc()
-	e.win = makespanOf(e.sched)
-	e.solverDirty = true
 	e.gen++
 	e.stats.Releases++
 	e.cRelease.Inc()
@@ -1001,6 +643,29 @@ func (e *Engine) releaseLocked(f Flow) error {
 	return nil
 }
 
+// dropFlow removes f's slots and state. The zones of f's links lose their
+// lower bounds: with less demand their minimum windows may have dropped.
+// A preemption eviction is exactly this, without the release bookkeeping —
+// no stats, no counters, no periodic compaction — because it is an internal
+// move of one admission decision, and a rolled-back trial must leave the
+// tallies untouched. Called under f's decision locks with e.mu held.
+func (e *Engine) dropFlow(f Flow) error {
+	for l, d := range f.demand() {
+		if err := e.sched.TrimLink(l, d); err != nil {
+			return err
+		}
+		if e.demand[l] -= d; e.demand[l] <= 0 {
+			delete(e.demand, l)
+		}
+		e.zones[e.dec.ZoneOf(l)].lo = 0
+	}
+	delete(e.flows, f.ID)
+	e.classAdd(f, -1)
+	e.rebuildOcc()
+	e.win = makespanOf(e.sched)
+	return nil
+}
+
 // compact re-packs every block first-fit in ascending (start, length desc)
 // order. Sorted re-insertion can only move a block to an earlier slot: all
 // earlier-starting conflicting blocks end at or before this block's old
@@ -1009,15 +674,7 @@ func (e *Engine) releaseLocked(f Flow) error {
 func (e *Engine) compact() error {
 	start := time.Now()
 	blocks := slices.Clone(e.sched.Assignments)
-	slices.SortFunc(blocks, func(a, b tdma.Assignment) int {
-		if a.Start != b.Start {
-			return a.Start - b.Start
-		}
-		if a.Length != b.Length {
-			return b.Length - a.Length
-		}
-		return int(a.Link - b.Link)
-	})
+	slices.SortFunc(blocks, byStart)
 	e.sched.Assignments = e.sched.Assignments[:0]
 	e.sched.Invalidate()
 	for i := range e.occ {
@@ -1214,18 +871,6 @@ func (e *Engine) rebuildOcc() {
 	}
 }
 
-// dropLinks removes every assignment of the given links from the schedule
-// and the occupancy index. Called with e.mu held.
-func (e *Engine) dropLinks(links []topology.LinkID) {
-	e.sched.Assignments = slices.DeleteFunc(e.sched.Assignments, func(a tdma.Assignment) bool {
-		return slices.Contains(links, a.Link)
-	})
-	e.sched.Invalidate()
-	for _, l := range links {
-		e.occ[l] = e.occ[l][:0]
-	}
-}
-
 // blockers collects the intervals that constrain link l — its own and its
 // conflict neighbors', plus pending placements — sorted by start.
 func (e *Engine) blockers(l topology.LinkID, pending []tdma.Assignment) [][2]int {
@@ -1291,4 +936,17 @@ func makespanOf(s *tdma.Schedule) int {
 		}
 	}
 	return end
+}
+
+// byStart orders blocks for first-fit re-placement: ascending start, longer
+// first on ties, then by link. Re-inserting a valid schedule in this order
+// never moves a block later (see compact).
+func byStart(a, b tdma.Assignment) int {
+	if a.Start != b.Start {
+		return a.Start - b.Start
+	}
+	if a.Length != b.Length {
+		return b.Length - a.Length
+	}
+	return int(a.Link - b.Link)
 }

@@ -70,17 +70,18 @@ func benchSetup(b *testing.B, compactEvery int) (*Engine, Flow, map[topology.Lin
 // BenchmarkAdmitRelease compares one admission's cost across the repair
 // tiers against the from-scratch re-plan the engine replaces:
 //
-//   - warm: Admit+Release through the warm tier's exact-solve memo — the
-//     steady-state churn case (the same aggregate demand vector recurs, the
-//     remembered schedule replays without solver work).
-//   - warm-solve: the same cycle with the memo disabled, so every
-//     admission is a genuine hinted re-solve of the persistent model.
+//   - warm: Admit+Release where every admission is a genuine hinted
+//     re-solve of the persistent incremental model.
 //   - cold-replan: the same decision answered the pre-engine way — build
 //     the ILP model from scratch and run the full MinSlots window search
 //     over the identical aggregate demand.
 //   - fast: Admit+Release of a flow the first-fit tier absorbs, for scale.
 //
-// The acceptance bar is warm ≥ 10x faster than cold-replan.
+// The warm row includes the release, so the ratio it measures is a full
+// admit/release cycle against one cold re-plan: cold-replan/warm reads
+// 1.0-1.3x on a 2-CPU host at this 3x3-grid scale, where building the model
+// is cheap. The gap is the model build, which grows with the support set;
+// fast is the tier that serves most serving decisions.
 func BenchmarkAdmitRelease(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		// Compact on every release: the freed slots do not linger as
@@ -88,35 +89,8 @@ func BenchmarkAdmitRelease(b *testing.B) {
 		// is benchmarked separately below).
 		e, f, _, _ := benchSetup(b, 1)
 		ctx := context.Background()
-		// One untimed cycle so the support set and the memo include the
-		// bench flow's state: iteration one would otherwise pay the cold
-		// rebuild.
-		if dec, err := e.Admit(ctx, f); err != nil || !dec.Admitted {
-			b.Fatalf("prewarm: %+v, %v", dec, err)
-		}
-		if err := e.Release(f.ID); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			dec, err := e.Admit(ctx, f)
-			if err != nil || !dec.Admitted {
-				b.Fatalf("admit: %+v, %v", dec, err)
-			}
-			if dec.Tier != TierWarm {
-				b.Fatalf("iteration hit tier %v, want warm", dec.Tier)
-			}
-			if err := e.Release(f.ID); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm-solve", func(b *testing.B) {
-		e, f, _, _ := benchSetup(b, 1)
-		e.memoCap = -1
-		e.memo = nil
-		ctx := context.Background()
+		// One untimed cycle so the support set includes the bench flow's
+		// links: iteration one would otherwise pay the cold rebuild.
 		if dec, err := e.Admit(ctx, f); err != nil || !dec.Admitted {
 			b.Fatalf("prewarm: %+v, %v", dec, err)
 		}

@@ -36,10 +36,7 @@ func (e *Engine) TryDefrag(ctx context.Context) (int, error) {
 	e.mu.Lock()
 	gen0 := e.gen
 	win0 := e.win
-	demand := make(map[topology.LinkID]int, len(e.demand))
-	for l, d := range e.demand {
-		demand[l] = d
-	}
+	demand := maps.Clone(e.demand)
 	// Class totals snapshotted with the demand: a classed re-pack must keep
 	// every link's guaranteed prefixes covered by their deadlines, and the
 	// gen check below discards the candidate if either snapshot went stale.
@@ -52,23 +49,50 @@ func (e *Engine) TryDefrag(ctx context.Context) (int, error) {
 		return 0, nil
 	}
 
+	if e.dfZones == nil {
+		e.dfZones = make([]zoneModel, len(e.zones))
+	}
 	opts := e.cfg.MILP
 	if ctx != nil {
 		opts.Interrupt = ctx.Done()
 	}
-	var (
-		cand []tdma.Assignment
-		win  int
-		ok   bool
-		err  error
-	)
-	if e.cfg.Zoned {
-		cand, win, ok, err = e.defragZoned(demand, clsSnap, win0, opts)
-	} else {
-		cand, win, ok, err = e.defragMono(demand, clsSnap, win0, opts)
+	// Re-solve every demand-carrying zone strictly below the incumbent
+	// window, then first-fit the union into a scratch occupancy under the
+	// same limit: an infeasible zone, a blown budget or a placement failure
+	// means no provable win.
+	full := &schedule.Problem{Graph: e.cfg.Graph, Demand: demand, FrameSlots: e.cfg.Frame.DataSlots,
+		StartCap: e.capsFor(clsSnap)}
+	var blocks []tdma.Assignment
+	for zi := range e.dfZones {
+		if !slices.ContainsFunc(e.zones[zi].links, func(l topology.LinkID) bool { return demand[l] > 0 }) {
+			continue
+		}
+		zp := partition.ZoneProblem(full, e.dec, zi)
+		zp.StartCap = full.StartCap
+		if e.packsGreedily(zp) {
+			gs, err := schedule.Greedy(zp, e.cfg.Frame)
+			if err != nil {
+				return 0, nil
+			}
+			blocks = append(blocks, gs.Assignments...)
+			continue
+		}
+		inc, _, err := e.dfZones[zi].model(e.cfg.Graph, e.cfg.Frame, zp.Demand)
+		if err != nil {
+			return 0, err
+		}
+		_, zs, _, _, err := inc.MinSlots(zp, 0, 0, win0-1, opts)
+		if errors.Is(err, schedule.ErrInfeasible) || errors.Is(err, milp.ErrLimit) {
+			return 0, nil
+		}
+		if err != nil {
+			return 0, err
+		}
+		blocks = append(blocks, zs.Assignments...)
 	}
-	if err != nil || !ok {
-		return 0, err
+	cand, win, ok := e.scratchFit(blocks, win0-1)
+	if !ok {
+		return 0, nil
 	}
 
 	// Validate the candidate off-line before it can touch the live schedule:
@@ -98,10 +122,10 @@ func (e *Engine) TryDefrag(ctx context.Context) (int, error) {
 		}
 	}
 	if clsSnap != nil {
-		// Deadline coverage check: the monolithic re-pack respects the caps
-		// by construction, but the zoned stitch (scratchFit) does not track
-		// them, so a candidate that uncovers a guaranteed prefix is simply
-		// not a win.
+		// Deadline coverage check: the zone solves respect the caps, and a
+		// single zone's first-fit keeps them, but a cross-zone scratchFit
+		// does not track them, so a candidate that uncovers a guaranteed
+		// prefix is simply not a win.
 		covBy := func(l topology.LinkID, deadline int) int {
 			n := 0
 			for _, a := range cand {
@@ -138,9 +162,6 @@ func (e *Engine) TryDefrag(ctx context.Context) (int, error) {
 	e.rebuildOcc()
 	e.win = win
 	e.gen++
-	// The window shrank but is proven minimal only by the monolithic exact
-	// re-pack; staying conservative either way costs one lower-bound hint.
-	e.solverDirty = true
 	won := win0 - win
 	e.stats.Defrags++
 	e.stats.DefragSlots += uint64(won)
@@ -149,117 +170,13 @@ func (e *Engine) TryDefrag(ctx context.Context) (int, error) {
 	return won, nil
 }
 
-// defragMono re-packs the aggregate demand with the private monolithic model,
-// probing strictly below the incumbent window. ok=false reports "no win"
-// outcomes (incumbent already minimal, budget exhausted).
-func (e *Engine) defragMono(demand map[topology.LinkID]int, clsSnap map[topology.LinkID][2]int, win0 int, opts milp.Options) ([]tdma.Assignment, int, bool, error) {
-	if e.dfInc == nil || !e.dfInc.Supports(demand) {
-		support := e.dfSupport
-		for l, d := range demand {
-			if d > 0 && !slices.Contains(support, l) {
-				support = append(support, l)
-			}
-		}
-		inc, err := schedule.NewIncremental(e.cfg.Graph, support, e.cfg.Frame)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		slices.Sort(support)
-		e.dfInc, e.dfSupport = inc, support
-	}
-	p := &schedule.Problem{Graph: e.cfg.Graph, Demand: demand, FrameSlots: e.cfg.Frame.DataSlots,
-		StartCap: e.capsFor(clsSnap)}
-	win, s, _, _, err := e.dfInc.Repack(p, win0, opts)
-	if err != nil {
-		if errors.Is(err, schedule.ErrInfeasible) || errors.Is(err, milp.ErrLimit) {
-			return nil, 0, false, nil
-		}
-		return nil, 0, false, err
-	}
-	return slices.Clone(s.Assignments), win, true, nil
-}
-
-// defragZoned re-solves every demand-carrying zone with the private per-zone
-// models and first-fits the union into a scratch occupancy capped strictly
-// below the incumbent window — any placement failure means no provable win.
-func (e *Engine) defragZoned(demand map[topology.LinkID]int, clsSnap map[topology.LinkID][2]int, win0 int, opts milp.Options) ([]tdma.Assignment, int, bool, error) {
-	if e.dfZoneInc == nil {
-		e.dfZoneInc = make(map[int]*schedule.Incremental)
-		e.dfZoneSup = make(map[int][]topology.LinkID)
-	}
-	maxPairs := e.cfg.MaxZonePairs
-	if maxPairs <= 0 {
-		maxPairs = partition.DefaultMaxZonePairs
-	}
-	full := &schedule.Problem{Graph: e.cfg.Graph, Demand: demand, FrameSlots: e.cfg.Frame.DataSlots,
-		StartCap: e.capsFor(clsSnap)}
-	var blocks []tdma.Assignment
-	for zi := range e.dec.Zones {
-		zp := partition.ZoneProblem(full, e.dec, zi)
-		zp.StartCap = full.StartCap
-		active := false
-		for _, d := range zp.Demand {
-			if d > 0 {
-				active = true
-				break
-			}
-		}
-		if !active {
-			continue
-		}
-		if partition.ActivePairs(zp) > maxPairs {
-			gs, err := schedule.Greedy(zp, e.cfg.Frame)
-			if err != nil {
-				return nil, 0, false, nil
-			}
-			blocks = append(blocks, gs.Assignments...)
-			continue
-		}
-		zinc := e.dfZoneInc[zi]
-		if zinc == nil || !zinc.Supports(zp.Demand) {
-			support := e.dfZoneSup[zi]
-			for l, d := range zp.Demand {
-				if d > 0 && !slices.Contains(support, l) {
-					support = append(support, l)
-				}
-			}
-			ninc, err := schedule.NewIncremental(e.cfg.Graph, support, e.cfg.Frame)
-			if err != nil {
-				return nil, 0, false, err
-			}
-			slices.Sort(support)
-			e.dfZoneInc[zi], e.dfZoneSup[zi] = ninc, support
-			zinc = ninc
-		}
-		_, zs, _, _, err := zinc.MinSlots(zp, 0, 0, win0-1, opts)
-		if err != nil {
-			// An infeasible zone below win0 or a blown budget: no win.
-			if errors.Is(err, schedule.ErrInfeasible) || errors.Is(err, milp.ErrLimit) {
-				return nil, 0, false, nil
-			}
-			return nil, 0, false, err
-		}
-		blocks = append(blocks, zs.Assignments...)
-	}
-	cand, win, ok := e.scratchFit(blocks, win0-1)
-	return cand, win, ok, nil
-}
-
 // scratchFit first-fit places the blocks (sorted ascending by start, length
 // descending, link) against a private occupancy index bounded by limit,
 // returning the placements and their makespan, or ok=false when any block
 // does not fit. It reads only the immutable conflict graph, so it runs
 // without any engine lock.
 func (e *Engine) scratchFit(blocks []tdma.Assignment, limit int) ([]tdma.Assignment, int, bool) {
-	slices.SortFunc(blocks, func(a, b tdma.Assignment) int {
-		if a.Start != b.Start {
-			return a.Start - b.Start
-		}
-		if a.Length != b.Length {
-			return b.Length - a.Length
-		}
-		return int(a.Link - b.Link)
-	})
+	slices.SortFunc(blocks, byStart)
 	occ := make([][][2]int, len(e.occ))
 	out := make([]tdma.Assignment, 0, len(blocks))
 	win := 0

@@ -14,9 +14,9 @@ import (
 // rolled back and the original rejection stands — a failed preemption
 // search leaves the engine bit-identical to a plain rejection.
 //
-// Only admitSerialLocked calls this, only for f.Class.Guaranteed()
-// arrivals, with e.mu held throughout: BE and nrtPS arrivals can never
-// trigger it, and victims are always of strictly lower class than the
+// Only admitLocked calls this, only for f.Class.Guaranteed() arrivals, on
+// a serial engine with e.mu held throughout: BE and nrtPS arrivals can
+// never trigger it, and victims are always of strictly lower class than the
 // arrival (BE/nrtPS < rtPS <= f.Class).
 func (e *Engine) tryPreempt(ctx context.Context, f Flow, rejected Decision) (Decision, error) {
 	e.stats.PreemptAttempts++
@@ -33,7 +33,10 @@ func (e *Engine) tryPreempt(ctx context.Context, f Flow, rejected Decision) (Dec
 	snapAssigns := slices.Clone(e.sched.Assignments)
 	snapWin := e.win
 	snapGen := e.gen
-	snapDirty := e.solverDirty
+	snapLo := make([]int, len(e.zones))
+	for zi := range e.zones {
+		snapLo[zi] = e.zones[zi].lo
+	}
 	snapDemand := maps.Clone(e.demand)
 	snapFlows := maps.Clone(e.flows)
 	snapCls := maps.Clone(e.cls)
@@ -43,7 +46,9 @@ func (e *Engine) tryPreempt(ctx context.Context, f Flow, rejected Decision) (Dec
 		e.rebuildOcc()
 		e.win = snapWin
 		e.gen = snapGen
-		e.solverDirty = snapDirty
+		for zi := range e.zones {
+			e.zones[zi].lo = snapLo[zi]
+		}
 		e.demand = snapDemand
 		e.flows = snapFlows
 		e.cls = snapCls
@@ -51,12 +56,12 @@ func (e *Engine) tryPreempt(ctx context.Context, f Flow, rejected Decision) (Dec
 
 	var evicted []FlowID
 	for _, v := range victims[:limit] {
-		if err := e.evictLocked(v); err != nil {
+		if err := e.dropFlow(v); err != nil {
 			restore()
 			return Decision{}, err
 		}
 		evicted = append(evicted, v.ID)
-		dec, err := e.attemptLocked(ctx, f)
+		dec, _, err := e.decide(ctx, []Flow{f})
 		if err != nil {
 			restore()
 			return Decision{}, err
@@ -124,27 +129,4 @@ func (e *Engine) conflictRelevant(v, f Flow) bool {
 		}
 	}
 	return false
-}
-
-// evictLocked removes a victim flow for preemption: slots and state go
-// exactly as in releaseLocked, but with none of the release bookkeeping —
-// no stats, no counters, no periodic compaction — because an eviction is
-// an internal move of one admission decision, not a caller release, and a
-// rolled-back trial must leave the tallies untouched. Called with e.mu
-// held.
-func (e *Engine) evictLocked(f Flow) error {
-	for l, d := range f.demand() {
-		if err := e.sched.TrimLink(l, d); err != nil {
-			return err
-		}
-		if e.demand[l] -= d; e.demand[l] <= 0 {
-			delete(e.demand, l)
-		}
-	}
-	delete(e.flows, f.ID)
-	e.classAdd(f, -1)
-	e.rebuildOcc()
-	e.win = makespanOf(e.sched)
-	e.solverDirty = true
-	return nil
 }

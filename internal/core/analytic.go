@@ -21,10 +21,6 @@ const (
 	// ScreenAnalytic forces the analytic screen (same as ScreenAuto
 	// today; the explicit value pins the choice against future defaults).
 	ScreenAnalytic
-	// ScreenPilot screens with short-duration pilot simulations (the
-	// pre-analytic behavior). Runs too short for a useful pilot fall back
-	// to ScreenNone.
-	ScreenPilot
 	// ScreenNone disables screening: the gallop probes full-length runs
 	// directly.
 	ScreenNone

@@ -273,24 +273,6 @@ func (s *System) capacitySearch(cfg CapacityConfig, tdma bool) (*CapacityResult,
 	switch cfg.Screen {
 	case ScreenNone:
 		return gallopSearch(p, cfg.MaxCalls)
-	case ScreenPilot:
-		// A short pilot search predicts the capacity so the full-length
-		// search usually probes just the bracket edge; the pilot's outcomes
-		// are never consumed for the result (see screenedSearch). Skipped
-		// when the run is already cheap enough that the pilot would cost
-		// more than it saves.
-		if pilotDur := probeRun.Duration / pilotDivisor; pilotDur >= minPilotDuration {
-			pilotRun := probeRun
-			pilotRun.Duration = pilotDur
-			pilotRun.WarmUp = pilotDur / 10
-			pilotRun.abortHeuristically = true
-			pp := newProber(mkProbe(pilotRun), prepare, workers)
-			pp.instrument("pilot", reg, tr)
-			pp.instrumentScreen(reg)
-			defer pp.drain()
-			return screenedSearch(p, pp, cfg.MaxCalls)
-		}
-		return gallopSearch(p, cfg.MaxCalls)
 	default: // ScreenAuto, ScreenAnalytic
 		// The closed-form screen costs microseconds per probe, so it pays
 		// off at every run duration; the verified bracket edge (one full
@@ -305,14 +287,6 @@ func (s *System) capacitySearch(cfg CapacityConfig, tdma bool) (*CapacityResult,
 		return screenedSearch(p, ap, cfg.MaxCalls)
 	}
 }
-
-// Pilot sizing: pilot runs simulate 1/pilotDivisor of the configured
-// duration, and searches whose pilot would fall under minPilotDuration skip
-// the pilot entirely (the run is too short for the prediction to pay off).
-const (
-	pilotDivisor     = 3
-	minPilotDuration = 500 * time.Millisecond
-)
 
 func outcomeOf(run *RunResult) probeOutcome {
 	if !run.AllAcceptable {

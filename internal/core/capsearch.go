@@ -55,7 +55,7 @@ type prober struct {
 }
 
 // instrument attaches observability to the prober: label distinguishes the
-// probe phase ("full" vs "pilot") in counter names and trace events.
+// probe phase ("full" vs "analytic") in counter names and trace events.
 func (p *prober) instrument(label string, reg *obs.Registry, tr *obs.Trace) {
 	if reg == nil && tr == nil {
 		return
@@ -256,12 +256,11 @@ func gallopSearch(p *prober, maxCalls int) (*CapacityResult, error) {
 }
 
 // screenedSearch first gallops over cheap screening probes — closed-form
-// analytic predictions (internal/analytic) or short-duration pilot
-// simulations — to predict the capacity, then verifies the predicted bracket
-// edge with full-length probes: the result is built exclusively from
-// full-probe outcomes (prediction c needs just one passing full run at c and
-// one failing at c+1), so the screen's accuracy only affects speed, never the
-// result. A verification miss — the full-length verdict disagrees with the
+// analytic predictions (internal/analytic) — to predict the capacity, then
+// verifies the predicted bracket edge with full-length probes: the result is
+// built exclusively from full-probe outcomes (prediction c needs just one
+// passing full run at c and one failing at c+1), so the screen's accuracy
+// only affects speed, never the result. A verification miss — the full-length verdict disagrees with the
 // screen — falls back to the full gallop search, which reuses the memoized
 // full-length outcomes already probed. Hits and misses are counted on the
 // screen prober (instrumentScreen), and a confirmed bracket also records the

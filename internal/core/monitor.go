@@ -51,13 +51,9 @@ type qualityMonitor struct {
 	// minDelayImpairment is Id at the minimal possible mouth-to-ear delay
 	// (zero network delay and buffer), used by the loss bound.
 	minDelayImpairment float64
-	// heuristic additionally aborts on a face-value failure estimate (the
-	// current loss and 99th-percentile delay taken as final) without a
-	// proof. Only pilot probes set it: their outcomes are advisory.
-	heuristic bool
 }
 
-func newQualityMonitor(codec voip.Codec, lo, hi time.Duration, flows []topology.Flow, cs *collectorSet, heuristic bool) *qualityMonitor {
+func newQualityMonitor(codec voip.Codec, lo, hi time.Duration, flows []topology.Flow, cs *collectorSet) *qualityMonitor {
 	limit := bufferLimit(codec)
 	if limit < 0 {
 		limit = 0
@@ -73,7 +69,6 @@ func newQualityMonitor(codec voip.Codec, lo, hi time.Duration, flows []topology.
 		cs:                 cs,
 		screenLimit:        limit.Seconds(),
 		minDelayImpairment: voip.DelayImpairment(voip.EndToEndDelay(codec, 0, 0)),
-		heuristic:          heuristic,
 	}
 }
 
@@ -130,21 +125,6 @@ func (m *qualityMonitor) shouldAbort(now time.Duration) bool {
 		if bad > 0 {
 			badFrac := float64(bad) / float64(sMax)
 			r := voip.R0 - m.minDelayImpairment - voip.EffectiveEquipmentImpairment(m.codec, badFrac)
-			if r < voip.TollQualityR {
-				return true
-			}
-		}
-		// Face-value estimate (pilot probes only): score the flow as if the
-		// current loss fraction and running 99th-percentile delay were final.
-		if m.heuristic && c.received >= 50 && c.screen.Ready() {
-			buf := time.Duration(c.screen.Estimate() * float64(time.Second))
-			if buf < 0 {
-				buf = 0
-			}
-			loss := float64(bad) / float64(c.sent)
-			r := voip.R0 -
-				voip.DelayImpairment(voip.EndToEndDelay(m.codec, buf, 0)) -
-				voip.EffectiveEquipmentImpairment(m.codec, loss)
 			if r < voip.TollQualityR {
 				return true
 			}

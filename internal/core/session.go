@@ -28,15 +28,15 @@ type SessionConfig struct {
 	// Serving deployments want this on; it trades exactness for bounded
 	// decision latency.
 	BudgetRejects bool
-	// Zoned switches the engine to the city-scale per-zone models using the
-	// system's ZoneSize.
+	// Zoned cuts the engine's links into zones of the system's ZoneSize,
+	// each with its own model: city-scale mode, conservative verdicts. Off,
+	// the engine is the single-zone case, whose verdicts match a cold Plan.
 	Zoned bool
-	// Sharded passes through to admit.Config: per-zone locking so
-	// admissions in disjoint zones decide concurrently. Requires Zoned.
+	// Sharded passes through to admit.Config: the per-zone lock policy, so
+	// admissions in disjoint zones solve concurrently. Requires Zoned.
 	Sharded bool
-	// CompactEvery and MemoSize pass through to admit.Config.
+	// CompactEvery passes through to admit.Config.
 	CompactEvery int
-	MemoSize     int
 	// UGSDeadline and RtPSWindow pass through to admit.Config: per-link
 	// slot deadlines for the guaranteed service classes (0 = unconstrained;
 	// zero deadlines make classes purely informational, so tagged calls
@@ -76,7 +76,6 @@ func (s *System) NewSession(cfg SessionConfig) (*Session, error) {
 		Sharded:       cfg.Sharded,
 		ZoneSize:      s.ZoneSize,
 		CompactEvery:  cfg.CompactEvery,
-		MemoSize:      cfg.MemoSize,
 		UGSDeadline:   cfg.UGSDeadline,
 		RtPSWindow:    cfg.RtPSWindow,
 		Preempt:       cfg.Preempt,
